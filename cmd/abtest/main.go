@@ -10,7 +10,7 @@
 //
 // With -replay it instead pairs two real client stacks on one recorded
 // trace: the same request stream — byte-identical arrivals, payloads, and
-// timestamps — is issued open-loop through an unbatched sequential client
+// timestamps — is issued open-loop through one unbatched rpc.Client
 // and through the coalescing rpc.Batcher, against the same in-process
 // echo server, so any latency difference is the client stack's alone:
 //

@@ -78,7 +78,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"strconv"
 	"strings"
@@ -226,13 +225,7 @@ func main() {
 		return
 	}
 	if *replayRPCPath != "" {
-		var err error
-		if *asyncServe {
-			err = runReplayRPCAsync(*replayRPCPath, *dilate, *offloadLatency, asyncEng)
-		} else {
-			err = runReplayRPC(*replayRPCPath, *dilate)
-		}
-		if err != nil {
+		if err := runReplayRPC(*replayRPCPath, *dilate, *offloadLatency, asyncEng); err != nil {
 			fatal(err)
 		}
 		return
@@ -533,51 +526,62 @@ func runReplaySim(path string, dilate float64) error {
 
 // runReplayRPC replays a recorded trace open-loop through the real RPC
 // stack: requests are issued against an in-process echo server at the
-// recorded (dilated) timestamps with the recorded payload sizes.
-func runReplayRPC(path string, dilate float64) error {
+// recorded (dilated) timestamps with the recorded payload sizes. With eng
+// (-async) the echo server is engine-backed: every request parks on a
+// simulated accelerator for offloadLatency, a fixed worker pool drives
+// all in-flight offloads and a MuxClient keeps them in flight — the
+// AsyncSameThread serving path under a real recorded arrival process.
+func runReplayRPC(path string, dilate float64, offloadLatency time.Duration, eng *rpc.Engine) error {
 	tr, err := record.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	echo := func(_ context.Context, req rpc.Message) (rpc.Message, error) {
-		return rpc.Message{Method: req.Method, Payload: req.Payload}, nil
+	var srv *rpc.Server
+	dial := record.DialClient
+	if eng == nil {
+		srv, err = rpc.NewServer(func(_ context.Context, req rpc.Message) (rpc.Message, error) {
+			return rpc.Message{Method: req.Method, Payload: req.Payload}, nil
+		}, nil)
+	} else {
+		dev, derr := kernels.NewSimAccel(kernels.SimAccelConfig{Latency: offloadLatency})
+		if derr != nil {
+			return derr
+		}
+		defer dev.Close() //modelcheck:ignore errdrop — in-process teardown after the replay completed
+		srv, err = rpc.NewAsyncServer(func(_ context.Context, req rpc.Message, ac *rpc.AsyncCall) (rpc.Message, error) {
+			return rpc.Message{}, ac.Park(dev, uint64(len(req.Payload)), replayEchoResume)
+		}, eng, nil)
+		dial = record.DialMux
 	}
-	srv, err := rpc.NewServer(echo, nil)
 	if err != nil {
 		return err
 	}
 	defer srv.Close() //modelcheck:ignore errdrop — in-process teardown after the replay completed
-	serveCtx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	clientConn, serverConn := net.Pipe()
-	go srv.ServeConn(serveCtx, serverConn)
-	client, err := rpc.NewClient(clientConn, nil)
-	if err != nil {
-		return err
-	}
-	defer client.Close() //modelcheck:ignore errdrop — pipe close on teardown
 
-	reg := telemetry.NewRegistry()
-	hist, err := reg.Histogram("replay_latency_nanos", "per-call replay latency in nanoseconds")
+	arm, err := record.ReplayArm(context.Background(), tr, srv, dial, record.RPCReplayConfig{Dilate: dilate})
 	if err != nil {
 		return err
 	}
-	stats, err := record.ReplayRPC(context.Background(), tr,
-		record.SerializeCalls(client.CallContext),
-		record.RPCReplayConfig{Dilate: dilate, Latency: hist})
-	if err != nil {
-		return err
+	if eng == nil {
+		fmt.Printf("Trace replay (rpc): %s — %d events, %s recorded span, dilation %g\n\n",
+			path, len(tr.Events), tr.Duration(), dilate)
+	} else {
+		fmt.Printf("Trace replay (rpc, async serving): %s — %d events, %s recorded span, dilation %g, %d engine workers, offload latency %s\n\n",
+			path, len(tr.Events), tr.Duration(), dilate, eng.Stats().Workers, offloadLatency)
 	}
-	snap := hist.Snapshot()
-	fmt.Printf("Trace replay (rpc): %s — %d events, %s recorded span, dilation %g\n\n",
-		path, len(tr.Events), tr.Duration(), dilate)
+	stats := arm.Stats
 	tb := textchart.NewTable("Metric", "Value")
 	tb.AddRowf("Requests issued", stats.Issued)
 	tb.AddRowf("Errors", stats.Errors)
 	tb.AddRowf("Replay wall time", stats.Duration.Seconds())
 	tb.AddRowf("Max issue lag (ms)", float64(stats.MaxLagNanos)/1e6)
-	tb.AddRowf("p50 latency (ms)", snap.Quantile(0.5)/1e6)
-	tb.AddRowf("p99 latency (ms)", snap.Quantile(0.99)/1e6)
+	tb.AddRowf("p50 latency (ms)", arm.Latency.Quantile(0.5)/1e6)
+	tb.AddRowf("p99 latency (ms)", arm.Latency.Quantile(0.99)/1e6)
+	if eng != nil {
+		es := eng.Stats()
+		tb.AddRowf("Engine served", es.Served)
+		tb.AddRowf("Engine errors", es.Errors)
+	}
 	fmt.Print(tb.Render())
 	return nil
 }
@@ -587,70 +591,6 @@ func runReplayRPC(path string, dilate float64) error {
 var replayEchoResume rpc.ResumeFunc = func(_ context.Context, ac *rpc.AsyncCall) (rpc.Message, error) {
 	req := ac.Request()
 	return rpc.Message{Method: req.Method, Payload: req.Payload}, nil
-}
-
-// runReplayRPCAsync replays a recorded trace open-loop against an
-// engine-backed echo server: every request parks on a simulated
-// accelerator for -offload-latency and a fixed worker pool drives all
-// in-flight offloads — the AsyncSameThread serving path under a real
-// recorded arrival process.
-func runReplayRPCAsync(path string, dilate float64, offloadLatency time.Duration, eng *rpc.Engine) error {
-	tr, err := record.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	dev, err := kernels.NewSimAccel(kernels.SimAccelConfig{Latency: offloadLatency})
-	if err != nil {
-		return err
-	}
-	defer dev.Close() //modelcheck:ignore errdrop — in-process teardown after the replay completed
-	park := func(_ context.Context, req rpc.Message, ac *rpc.AsyncCall) (rpc.Message, error) {
-		if err := ac.Park(dev, uint64(len(req.Payload)), replayEchoResume); err != nil {
-			return rpc.Message{}, err
-		}
-		return rpc.Message{}, nil
-	}
-	srv, err := rpc.NewAsyncServer(park, eng, nil)
-	if err != nil {
-		return err
-	}
-	defer srv.Close() //modelcheck:ignore errdrop — in-process teardown after the replay completed
-	serveCtx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	clientConn, serverConn := net.Pipe()
-	go srv.ServeConn(serveCtx, serverConn)
-	client, err := rpc.NewMuxClient(clientConn, nil)
-	if err != nil {
-		return err
-	}
-	defer client.Close() //modelcheck:ignore errdrop — pipe close on teardown
-
-	reg := telemetry.NewRegistry()
-	hist, err := reg.Histogram("replay_latency_nanos", "per-call replay latency in nanoseconds")
-	if err != nil {
-		return err
-	}
-	stats, err := record.ReplayRPC(context.Background(), tr,
-		client.CallContext,
-		record.RPCReplayConfig{Dilate: dilate, Latency: hist})
-	if err != nil {
-		return err
-	}
-	snap := hist.Snapshot()
-	es := eng.Stats()
-	fmt.Printf("Trace replay (rpc, async serving): %s — %d events, %s recorded span, dilation %g, %d engine workers, offload latency %s\n\n",
-		path, len(tr.Events), tr.Duration(), dilate, es.Workers, offloadLatency)
-	tb := textchart.NewTable("Metric", "Value")
-	tb.AddRowf("Requests issued", stats.Issued)
-	tb.AddRowf("Errors", stats.Errors)
-	tb.AddRowf("Replay wall time", stats.Duration.Seconds())
-	tb.AddRowf("Max issue lag (ms)", float64(stats.MaxLagNanos)/1e6)
-	tb.AddRowf("p50 latency (ms)", snap.Quantile(0.5)/1e6)
-	tb.AddRowf("p99 latency (ms)", snap.Quantile(0.99)/1e6)
-	tb.AddRowf("Engine served", es.Served)
-	tb.AddRowf("Engine errors", es.Errors)
-	fmt.Print(tb.Render())
-	return nil
 }
 
 // topologyRun bundles the -topology mode's long-lived pieces: the parsed

@@ -12,8 +12,8 @@ import (
 
 // Paired A/B replay over the real RPC stack: one recorded trace drives
 // two client stacks against the same in-process echo server — an
-// unbatched arm (one sequential connection, so concurrent requests queue
-// head-of-line behind each other) and a batched arm (rpc.Batcher
+// unbatched arm (one rpc.Client, so concurrent requests queue head-of-line
+// behind each other on its connection) and a batched arm (rpc.Batcher
 // coalescing concurrent requests into envelope frames). Both arms replay
 // the identical event list at the identical dilated timestamps with
 // identical payload bytes, so any latency or duration difference is
@@ -50,9 +50,82 @@ type ABResult struct {
 	Unbatched, Batched ABArm
 }
 
+// DialFunc wraps the client end of an arm's in-process connection as
+// the client a replay drives: it returns the call and the client's
+// closer.
+type DialFunc func(conn net.Conn) (CallFunc, func() error, error)
+
+// DialClient drives the replay through one rpc.Client: concurrent calls
+// queue on its connection, the head-of-line baseline a per-request RPC
+// stack pays under bursts.
+func DialClient(conn net.Conn) (CallFunc, func() error, error) {
+	c, err := rpc.NewClient(conn, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return c.CallContext, c.Close, nil
+}
+
+// DialMux drives the replay through one rpc.MuxClient, which keeps
+// every call in flight at once on the connection.
+func DialMux(conn net.Conn) (CallFunc, func() error, error) {
+	c, err := rpc.NewMuxClient(conn, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return c.CallContext, c.Close, nil
+}
+
+// dialBatcher drives the replay through a Batcher over one rpc.Client,
+// coalescing concurrent calls into envelope frames.
+func dialBatcher(cfg rpc.BatcherConfig) DialFunc {
+	return func(conn net.Conn) (CallFunc, func() error, error) {
+		c, err := rpc.NewClient(conn, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		b, err := rpc.NewBatcher(c, cfg)
+		if err != nil {
+			c.Close() //modelcheck:ignore errdrop — best-effort unwind, the batcher error is reported
+			return nil, nil, err
+		}
+		return b.CallContext, func() error {
+			b.Close() //modelcheck:ignore errdrop — drains in-flight batches; errors surface per call
+			return c.Close()
+		}, nil
+	}
+}
+
+// ReplayArm replays tr open-loop through one in-process serving stack:
+// srv serves one end of a net.Pipe, dial wraps the other end as the
+// client, and the replay's stats and per-call latency come back as an
+// ABArm. The caller owns srv. An in-process transport keeps kernel TCP
+// out of the measurement: a loopback retransmit (200 ms RTO) head-of-line
+// blocks a single connection and poisons the tail with transport noise,
+// which is not the stack under test. A nil cfg.Latency gets a fresh
+// histogram.
+func ReplayArm(ctx context.Context, tr *Trace, srv *rpc.Server, dial DialFunc, cfg RPCReplayConfig) (ABArm, error) {
+	clientConn, serverConn := net.Pipe()
+	serveCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go srv.ServeConn(serveCtx, serverConn)
+	call, closeClient, err := dial(clientConn)
+	if err != nil {
+		clientConn.Close() //modelcheck:ignore errdrop — best-effort unwind, the dial error is reported
+		return ABArm{}, err
+	}
+	defer closeClient() //modelcheck:ignore errdrop — arm teardown; replay errors surface per call
+	if cfg.Latency == nil {
+		cfg.Latency = telemetry.NewHistogram("replay_latency_nanos", "per-call replay latency in nanoseconds")
+	}
+	stats, err := ReplayRPC(ctx, tr, call, cfg)
+	return ABArm{Stats: stats, Latency: cfg.Latency.Snapshot()}, err
+}
+
 // ReplayAB replays tr through both client stacks sequentially (unbatched
-// first) and returns the paired measurements. The arms never run
-// concurrently, so they do not contend for CPU with each other.
+// first) against one echo server and returns the paired measurements.
+// The arms never run concurrently, so they do not contend for CPU with
+// each other.
 func ReplayAB(ctx context.Context, tr *Trace, cfg ABConfig) (*ABResult, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -63,7 +136,6 @@ func ReplayAB(ctx context.Context, tr *Trace, cfg ABConfig) (*ABResult, error) {
 	if cfg.Linger == 0 {
 		cfg.Linger = 200 * time.Microsecond
 	}
-
 	echo := func(_ context.Context, req rpc.Message) (rpc.Message, error) {
 		return rpc.Message{Method: req.Method, Payload: req.Payload}, nil
 	}
@@ -71,56 +143,17 @@ func ReplayAB(ctx context.Context, tr *Trace, cfg ABConfig) (*ABResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer srv.Close() //modelcheck:ignore errdrop — in-process server teardown; conns are closed below
+	defer srv.Close() //modelcheck:ignore errdrop — in-process server teardown; each arm closed its conn
 
-	serveCtx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	newClient := func() (*rpc.Client, error) {
-		clientConn, serverConn := net.Pipe()
-		go srv.ServeConn(serveCtx, serverConn)
-		return rpc.NewClient(clientConn, nil)
-	}
-	arm := func(name string, call CallFunc) (ABArm, error) {
-		reg := telemetry.NewRegistry()
-		hist, err := reg.Histogram("replay_"+name+"_latency_nanos", "per-call replay latency in nanoseconds")
-		if err != nil {
-			return ABArm{}, err
-		}
-		stats, err := ReplayRPC(ctx, tr, call, RPCReplayConfig{
-			Dilate:      cfg.Dilate,
-			MaxInFlight: cfg.MaxInFlight,
-			Latency:     hist,
-		})
-		return ABArm{Stats: stats, Latency: hist.Snapshot()}, err
-	}
-
+	replay := RPCReplayConfig{Dilate: cfg.Dilate, MaxInFlight: cfg.MaxInFlight}
 	res := &ABResult{Events: len(tr.Events)}
-
-	// Unbatched arm: the raw client is sequential-only, so concurrent
-	// replay requests serialize behind one connection — the head-of-line
-	// baseline a per-request RPC stack pays under bursts.
-	unbatched, err := newClient()
-	if err != nil {
-		return nil, err
-	}
-	defer unbatched.Close() //modelcheck:ignore errdrop — pipe close on teardown
-	if res.Unbatched, err = arm("unbatched", SerializeCalls(unbatched.CallContext)); err != nil {
+	if res.Unbatched, err = ReplayArm(ctx, tr, srv, DialClient, replay); err != nil {
 		return nil, fmt.Errorf("record: unbatched arm: %w", err)
 	}
-
-	// Batched arm: same trace, same timestamps, same payload bytes —
-	// only the client stack changes.
-	bc, err := newClient()
-	if err != nil {
-		return nil, err
-	}
-	defer bc.Close() //modelcheck:ignore errdrop — pipe close on teardown
-	batcher, err := rpc.NewBatcher(bc, rpc.BatcherConfig{MaxBatch: cfg.MaxBatch, Linger: cfg.Linger})
-	if err != nil {
-		return nil, err
-	}
-	defer batcher.Close() //modelcheck:ignore errdrop — drains in-flight batches; errors surface per call
-	if res.Batched, err = arm("batched", batcher.CallContext); err != nil {
+	// Same trace, same timestamps, same payload bytes — only the client
+	// stack changes.
+	batched := dialBatcher(rpc.BatcherConfig{MaxBatch: cfg.MaxBatch, Linger: cfg.Linger})
+	if res.Batched, err = ReplayArm(ctx, tr, srv, batched, replay); err != nil {
 		return nil, fmt.Errorf("record: batched arm: %w", err)
 	}
 	return res, nil

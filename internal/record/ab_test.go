@@ -2,7 +2,12 @@ package record
 
 import (
 	"context"
+	"errors"
+	"net"
 	"testing"
+
+	"repro/internal/rpc"
+	"repro/internal/telemetry"
 )
 
 func TestReplayABValidation(t *testing.T) {
@@ -42,5 +47,40 @@ func TestReplayABPairedArms(t *testing.T) {
 		if arm.a.Stats.Duration <= 0 {
 			t.Errorf("%s arm reports non-positive duration", arm.name)
 		}
+	}
+}
+
+// ReplayArm records into the caller's histogram when given one, and a
+// failing dial surfaces before any event is issued.
+func TestReplayArm(t *testing.T) {
+	tr, err := Synthesize("steady", 3, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := rpc.NewServer(func(_ context.Context, req rpc.Message) (rpc.Message, error) {
+		return rpc.Message{Method: req.Method}, nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	lat := telemetry.NewHistogram("arm_lat", "")
+	arm, err := ReplayArm(context.Background(), tr, srv, DialClient, RPCReplayConfig{Dilate: 0.05, Latency: lat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arm.Stats.Issued != len(tr.Events) || arm.Stats.Errors != 0 {
+		t.Fatalf("stats = %+v, want %d issued without errors", arm.Stats, len(tr.Events))
+	}
+	if arm.Latency.Count != uint64(len(tr.Events)) || lat.Snapshot().Count != arm.Latency.Count {
+		t.Fatalf("arm latency count %d, caller histogram %d, want %d",
+			arm.Latency.Count, lat.Snapshot().Count, len(tr.Events))
+	}
+
+	dialErr := errors.New("dial refused")
+	failDial := func(net.Conn) (CallFunc, func() error, error) { return nil, nil, dialErr }
+	if _, err := ReplayArm(context.Background(), tr, srv, failDial, RPCReplayConfig{}); !errors.Is(err, dialErr) {
+		t.Fatalf("err = %v, want the dial error", err)
 	}
 }

@@ -170,21 +170,6 @@ func ReplaySim(t *Trace, cfg SimReplayConfig) (*SimReplayResult, error) {
 // which is what makes the batched-vs-unbatched A/B a one-line swap.
 type CallFunc func(context.Context, rpc.Message) (rpc.Message, error)
 
-// SerializeCalls adapts a sequential-only client (one rpc.Client on
-// one connection) to the open-loop replayer's concurrent issue:
-// concurrent arrivals queue on a lock, giving the unbatched baseline
-// its real-world shape — head-of-line blocking on a single connection.
-// The Batcher needs no such adapter; coalescing concurrent callers is
-// its entire purpose, which is the contrast the A/B measures.
-func SerializeCalls(call CallFunc) CallFunc {
-	var mu sync.Mutex
-	return func(ctx context.Context, m rpc.Message) (rpc.Message, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return call(ctx, m)
-	}
-}
-
 // RPCReplayConfig shapes an open-loop replay against a live client.
 type RPCReplayConfig struct {
 	// Dilate stretches (>1) or compresses (<1) the recorded gaps; 0

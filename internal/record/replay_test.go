@@ -202,7 +202,7 @@ func TestReplayRPCIssuesRecordedStream(t *testing.T) {
 	lat := telemetry.NewHistogram("replay_lat", "")
 	// Compress hard: the trace spans ~4ms of recorded time; no reason
 	// for the test to sleep through it at full length.
-	stats, err := ReplayRPC(context.Background(), tr, SerializeCalls(client.CallContext), RPCReplayConfig{
+	stats, err := ReplayRPC(context.Background(), tr, client.CallContext, RPCReplayConfig{
 		Dilate:  0.1,
 		Latency: lat,
 	})
@@ -237,7 +237,7 @@ func TestReplayRPCCountsErrors(t *testing.T) {
 	client := replayServer(t, func(_ context.Context, req rpc.Message) (rpc.Message, error) {
 		return rpc.Message{}, errors.New("always fails")
 	})
-	stats, err := ReplayRPC(context.Background(), tr, SerializeCalls(client.CallContext), RPCReplayConfig{Dilate: 0.05})
+	stats, err := ReplayRPC(context.Background(), tr, client.CallContext, RPCReplayConfig{Dilate: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestReplayRPCCancellation(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	stats, err := ReplayRPC(ctx, tr, SerializeCalls(client.CallContext), RPCReplayConfig{})
+	stats, err := ReplayRPC(ctx, tr, client.CallContext, RPCReplayConfig{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}

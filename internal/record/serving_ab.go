@@ -3,7 +3,6 @@ package record
 import (
 	"context"
 	"fmt"
-	"net"
 	"time"
 
 	"repro/internal/kernels"
@@ -12,7 +11,7 @@ import (
 )
 
 // Paired sync-vs-async serving replay: one recorded trace drives the same
-// completion-queue server stack twice over TCP loopback. Both arms use an
+// completion-queue server stack twice through ReplayArm. Both arms use an
 // identically configured rpc.Engine (the same bounded worker pool W) and
 // an identical simulated accelerator; the only difference is the threading
 // design at the offload point. The sync arm's handler waits out the
@@ -111,8 +110,9 @@ func parkingOffloadHandler(dev rpc.Offloader) rpc.AsyncHandler {
 	}
 }
 
-// runServingArm stands up one arm's full stack (device, engine, async
-// server, mux client), replays the trace through it, and tears it down.
+// runServingArm stands up one arm's server stack (device, engine, async
+// server), replays the trace through it over a MuxClient, and tears it
+// down.
 func runServingArm(ctx context.Context, tr *Trace, cfg ServingABConfig, name string,
 	mkHandler func(rpc.Offloader) rpc.AsyncHandler) (ABArm, error) {
 	dev, err := kernels.NewSimAccel(kernels.SimAccelConfig{Latency: cfg.OffloadLatency})
@@ -129,38 +129,13 @@ func runServingArm(ctx context.Context, tr *Trace, cfg ServingABConfig, name str
 	if err != nil {
 		return ABArm{}, err
 	}
-	defer srv.Close() //modelcheck:ignore errdrop — arm teardown; conns are closed below
+	defer srv.Close() //modelcheck:ignore errdrop — arm teardown; ReplayArm closed the conn
 	var tracer *telemetry.Tracer
 	if cfg.Trace {
 		tracer = telemetry.NewTracer(name)
 		srv.Instrument(&rpc.Instrumentation{Tracer: tracer})
 	}
-	// net.Pipe, like the batching A/B in ab.go: an in-process transport
-	// keeps kernel TCP out of the measurement — a loopback retransmit
-	// (200 ms RTO) head-of-line blocks the single multiplexed connection
-	// and poisons the tail with transport noise, which is not the
-	// threading design under test.
-	clientConn, serverConn := net.Pipe()
-	serveCtx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.ServeConn(serveCtx, serverConn)
-	client, err := rpc.NewMuxClient(clientConn, nil)
-	if err != nil {
-		return ABArm{}, err
-	}
-	defer client.Close() //modelcheck:ignore errdrop — arm teardown; replay errors surface per call
-
-	reg := telemetry.NewRegistry()
-	hist, err := reg.Histogram("replay_serving_"+name+"_latency_nanos", "per-call replay latency in nanoseconds")
-	if err != nil {
-		return ABArm{}, err
-	}
-	stats, err := ReplayRPC(ctx, tr, client.CallContext, RPCReplayConfig{
-		Dilate:      cfg.Dilate,
-		MaxInFlight: cfg.MaxInFlight,
-		Latency:     hist,
-	})
-	arm := ABArm{Stats: stats, Latency: hist.Snapshot()}
+	arm, err := ReplayArm(ctx, tr, srv, DialMux, RPCReplayConfig{Dilate: cfg.Dilate, MaxInFlight: cfg.MaxInFlight})
 	if tracer != nil {
 		arm.Spans = tracer.Spans()
 	}

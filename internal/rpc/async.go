@@ -463,11 +463,13 @@ func (e *Engine) finish(ac *AsyncCall, resp Message, err error) {
 		}
 		resp.Headers[HeaderCID] = ac.cid
 	}
-	// A write error means the connection died; the continuation still
-	// completes and recycles, it just has no one to tell.
+	// Count the request served before its response can reach the client,
+	// so a caller that has its answer always sees it counted. A write
+	// error means the connection died; the continuation still completes
+	// and recycles, it just has no one to tell.
+	e.served.Inc()
 	//modelcheck:ignore errdrop — response write failure is terminal for the conn, not the engine
 	_ = ac.cw.respond(ac.ctx, resp, ac.sp)
-	e.served.Inc()
 	e.putCall(ac)
 }
 

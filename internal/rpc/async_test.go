@@ -302,64 +302,6 @@ func TestAsyncServerRejectsBatch(t *testing.T) {
 	}
 }
 
-// TestConcurrentServerOutOfOrder: the spawn-per-request blocking server
-// also supports out-of-order completion through the shared conn writer —
-// a gated first request must not block a second one on the same conn.
-func TestConcurrentServerOutOfOrder(t *testing.T) {
-	gate := make(chan struct{})
-	srv, err := NewConcurrentServer(func(_ context.Context, req Message) (Message, error) {
-		if req.Method == "slow" {
-			<-gate
-		}
-		return Message{Method: req.Method, Payload: req.Payload}, nil
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(context.Background(), lis) //modelcheck:ignore errdrop — Serve's error is the normal shutdown path
-	t.Cleanup(func() { srv.Close() })       // errors swallowed per the teardown rule
-	client := dialMux(t, lis.Addr().String())
-	// Cleanups run LIFO: the gate must open before the client closes its
-	// conn and the server drains its spawned handlers, or teardown wedges
-	// on a failure path that never reached close(gate).
-	var gateOnce sync.Once
-	openGate := func() { gateOnce.Do(func() { close(gate) }) }
-	t.Cleanup(openGate)
-
-	slowDone := make(chan error, 1)
-	if err := client.Go(context.Background(), Message{Method: "slow"}, func(_ Message, err error) {
-		slowDone <- err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The fast call completes while the slow one is still gated.
-	resp, err := client.CallContext(context.Background(), Message{Method: "fast", Payload: []byte("f")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Method != "fast" || string(resp.Payload) != "f" {
-		t.Fatalf("fast response = %+v", resp)
-	}
-	select {
-	case err := <-slowDone:
-		t.Fatalf("slow call finished before its gate opened (err=%v)", err)
-	default:
-	}
-	openGate()
-	select {
-	case err := <-slowDone:
-		if err != nil {
-			t.Fatalf("slow call: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("slow call never completed")
-	}
-}
-
 // TestMuxClientContextCancel: a cancelled caller unblocks immediately;
 // the late response is dropped as unsolicited and the client remains
 // usable.
@@ -497,9 +439,6 @@ func TestEngineConfigValidation(t *testing.T) {
 		t.Fatal("nil engine accepted")
 	}
 	_ = eng
-	if _, err := NewConcurrentServer(nil, nil); err == nil {
-		t.Fatal("nil handler accepted")
-	}
 }
 
 // TestAsyncTracedWaits drives the park/resume path with a tracer attached

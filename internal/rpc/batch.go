@@ -157,6 +157,8 @@ func (c *Client) CallBatch(reqs []Message) ([]Message, []error, error) {
 	if len(reqs) == 0 {
 		return nil, nil, errors.New("rpc: empty batch")
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	ins := c.ins
 	obs := ins.enabled()
 	var sp *telemetry.Span

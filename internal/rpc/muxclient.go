@@ -16,8 +16,9 @@ var ErrClientClosed = errors.New("rpc: mux client closed")
 // request carries a correlation id (HeaderCID) and a background reader
 // matches responses back to callers, so completions may arrive in any
 // order. It is the client half of the async serving path — where Client
-// supports one outstanding exchange and ClientPool scales by connection
-// count, MuxClient scales in-flight count on a single connection, which
+// runs one exchange at a time (concurrent callers queue on its
+// connection) and ClientPool scales by connection count, MuxClient
+// scales in-flight count on a single connection, which
 // is what lets a soak park 100k requests without 100k sockets or
 // goroutines (use Go, the callback form, to also avoid 100k blocked
 // caller goroutines).

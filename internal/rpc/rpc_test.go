@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"context"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -394,3 +395,69 @@ func TestNewClientNilConn(t *testing.T) {
 type errFromString string
 
 func (e errFromString) Error() string { return string(e) }
+
+// TestClientConcurrentCallers shares one Client over TCP between 32
+// goroutines: the Client serializes exchanges on its connection, so every
+// caller gets its own response back, whichever entry point it uses.
+func TestClientConcurrentCallers(t *testing.T) {
+	srv, err := NewServer(func(_ context.Context, req Message) (Message, error) {
+		return Message{Method: req.Method, Payload: req.Payload}, nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(context.Background(), lis) //modelcheck:ignore errdrop — Serve's error is the normal shutdown path
+	t.Cleanup(func() { srv.Close() })
+	conn, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := NewClient(conn, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+
+	const goroutines, calls = 32, 20
+	errc := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func(g int) {
+			for i := 0; i < calls; i++ {
+				req := Message{Method: fmt.Sprintf("m%d.%d", g, i), Payload: bytes.Repeat([]byte{byte(g)}, 64+g*i)}
+				var resp Message
+				var err error
+				switch g % 3 {
+				case 0:
+					resp, err = client.CallContext(context.Background(), req)
+				case 1:
+					resp, err = client.Call(req)
+				default:
+					var resps []Message
+					var errs []error
+					if resps, errs, err = client.CallBatch([]Message{req}); err == nil {
+						resp, err = resps[0], errs[0]
+					}
+				}
+				if err != nil {
+					errc <- fmt.Errorf("goroutine %d call %d: %w", g, i, err)
+					return
+				}
+				if resp.Method != req.Method || !bytes.Equal(resp.Payload, req.Payload) {
+					errc <- fmt.Errorf("goroutine %d call %d: got %s (%d bytes), want %s (%d bytes)",
+						g, i, resp.Method, len(resp.Payload), req.Method, len(req.Payload))
+					return
+				}
+			}
+			errc <- nil
+		}(g)
+	}
+	for g := 0; g < goroutines; g++ {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+}

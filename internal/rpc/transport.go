@@ -84,7 +84,6 @@ type Server struct {
 	handler     Handler
 	asyncH      AsyncHandler // async mode: requests dispatched to eng
 	eng         *Engine
-	spawn       bool // blocking mode: one goroutine per in-flight request
 	newPipeline func() (*Pipeline, error)
 	ins         *Instrumentation
 
@@ -133,23 +132,6 @@ func NewAsyncServer(handler AsyncHandler, eng *Engine, newPipeline func() (*Pipe
 		newPipeline = func() (*Pipeline, error) { return NewPipeline() }
 	}
 	return &Server{asyncH: handler, eng: eng, newPipeline: newPipeline}, nil
-}
-
-// NewConcurrentServer returns a server that runs handler on a fresh
-// goroutine per request — the paper's blocking Sync threading design at
-// high concurrency: N in-flight requests cost N goroutines, each blocked
-// for the full offload latency. It exists as the measured baseline the
-// async engine is compared against (async_model_test.go, BENCH_async);
-// responses are serialized through the same connection writer and echo
-// HeaderCID, so the same MuxClient drives both modes.
-func NewConcurrentServer(handler Handler, newPipeline func() (*Pipeline, error)) (*Server, error) {
-	if handler == nil {
-		return nil, errors.New("rpc: nil handler")
-	}
-	if newPipeline == nil {
-		newPipeline = func() (*Pipeline, error) { return NewPipeline() }
-	}
-	return &Server{handler: handler, spawn: true, newPipeline: newPipeline}, nil
 }
 
 // Serve accepts connections until the listener closes, the server is
@@ -288,14 +270,12 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	if ins != nil {
 		pipeline.Instrument(ins.Metrics)
 	}
-	// Async and concurrent modes complete responses out of order on other
-	// goroutines, so they get a dedicated mutex-guarded writer with its own
-	// encode pipeline (Pipeline is not safe for concurrent encode+decode;
-	// the read loop keeps `pipeline` for decode only). reqWG tracks
-	// spawned blocking handlers so a graceful close drains them.
+	// Async mode completes responses out of order on engine workers, so it
+	// gets a dedicated mutex-guarded writer with its own encode pipeline
+	// (Pipeline is not safe for concurrent encode+decode; the read loop
+	// keeps `pipeline` for decode only).
 	var cw *connWriter
-	var reqWG sync.WaitGroup
-	if s.eng != nil || s.spawn {
+	if s.eng != nil {
 		encPipe, err := s.newPipeline()
 		if err != nil {
 			return
@@ -304,7 +284,6 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 			encPipe.Instrument(ins.Metrics)
 		}
 		cw = &connWriter{conn: conn, enc: encPipe}
-		defer reqWG.Wait()
 	}
 	var hdr [4]byte // frame-header scratch, reused across the connection
 	for {
@@ -322,7 +301,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 			if ins.enabled() && ins.Metrics != nil {
 				ins.Metrics.BytesRecv.Add(uint64(frameLen))
 			}
-			s.serveOneAsync(ctx, cw, req, &reqWG)
+			s.serveOneAsync(ctx, cw, req)
 			continue
 		}
 
@@ -410,12 +389,11 @@ func (s *Server) handleOne(ctx context.Context, req Message) (Message, *telemetr
 	return resp, sp
 }
 
-// serveOneAsync routes one decoded request in async or concurrent mode.
-// Engine mode hands the request to the completion-queue workers (blocking
-// only on queue backpressure); concurrent mode spawns the blocking
-// handler on its own goroutine. Both respond through cw, echoing the
-// caller's correlation id so responses may complete out of order.
-func (s *Server) serveOneAsync(ctx context.Context, cw *connWriter, req Message, reqWG *sync.WaitGroup) {
+// serveOneAsync hands one decoded request to the completion-queue
+// workers (blocking only on queue backpressure). The response goes out
+// through cw, echoing the caller's correlation id so responses may
+// complete out of order.
+func (s *Server) serveOneAsync(ctx context.Context, cw *connWriter, req Message) {
 	if req.Method == BatchMethod {
 		resp := Message{
 			Method:  BatchMethod,
@@ -428,23 +406,7 @@ func (s *Server) serveOneAsync(ctx context.Context, cw *connWriter, req Message,
 		_ = cw.respond(ctx, resp, nil)
 		return
 	}
-	if s.eng != nil {
-		s.eng.dispatch(ctx, s.asyncH, cw, req, s.ins)
-		return
-	}
-	reqWG.Add(1)
-	go func() {
-		defer reqWG.Done()
-		resp, sp := s.handleOne(ctx, req)
-		if cid := req.Headers[HeaderCID]; cid != "" {
-			if resp.Headers == nil {
-				resp.Headers = make(map[string]string, 1)
-			}
-			resp.Headers[HeaderCID] = cid
-		}
-		//modelcheck:ignore errdrop — a failed response write is terminal for the conn, surfaced by the read loop
-		_ = cw.respond(ctx, resp, sp)
-	}()
+	s.eng.dispatch(ctx, s.asyncH, cw, req, s.ins)
 }
 
 // Close stops accepting and waits for in-flight connections to finish.
@@ -465,10 +427,14 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Client issues requests over one connection. It is safe for sequential
-// use; callers needing concurrency should pool clients or attach a
-// Batcher, which coalesces concurrent callers into batched exchanges.
+// Client issues requests over one connection, one exchange at a time.
+// It is safe for concurrent use: concurrent callers queue on the
+// connection, each waiting out the exchanges ahead of it. Callers that
+// want those exchanges to overlap should pool clients, use a MuxClient,
+// or attach a Batcher, which coalesces concurrent callers into batched
+// exchanges.
 type Client struct {
+	mu       sync.Mutex // held for a whole exchange: calls never interleave frames
 	conn     net.Conn
 	pipeline *Pipeline
 	ins      *Instrumentation
@@ -479,6 +445,8 @@ type Client struct {
 // with child spans per pipeline stage, stage and call-latency histograms,
 // and trace-context headers on outgoing requests. Pass nil to detach.
 func (c *Client) Instrument(ins *Instrumentation) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.ins = ins
 	if ins != nil {
 		c.pipeline.Instrument(ins.Metrics)
@@ -506,6 +474,8 @@ func NewClient(conn net.Conn, pipeline *Pipeline) (*Client, error) {
 // "error" header is surfaced as an error. It blocks until the server
 // responds or the connection breaks; use CallContext to bound the wait.
 func (c *Client) Call(req Message) (Message, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.call(context.Background(), req)
 }
 
@@ -513,8 +483,12 @@ func (c *Client) Call(req Message) (Message, error) {
 // context's deadline bounds the whole exchange, and cancellation unblocks
 // an in-flight read or write, so a vanished server cannot block the caller
 // forever. The connection's I/O deadline is restored on return, leaving
-// the client reusable after a deadline-free follow-up call.
+// the client reusable after a deadline-free follow-up call. A caller
+// queued behind other callers' exchanges waits for the connection
+// regardless of ctx, then fails without sending if ctx has ended.
 func (c *Client) CallContext(ctx context.Context, req Message) (Message, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return Message{}, fmt.Errorf("rpc: call aborted: %w", err)
 	}

@@ -29,9 +29,6 @@ type RunnerConfig struct {
 	// PoolSize is the number of pooled clients per graph edge
 	// (default 4); it bounds each edge's concurrent downstream calls.
 	PoolSize int
-	// UseBatcher coalesces each edge's downstream calls through an
-	// rpc.Batcher over a single connection instead of a client pool.
-	UseBatcher bool
 	// CallTimeout bounds each downstream call (default 10s).
 	CallTimeout time.Duration
 	// UnitIters is the spin cost of one work unit (default
@@ -59,8 +56,7 @@ type RunnerConfig struct {
 	// Process = node name), Runner.Call roots a synthetic topo.request
 	// span, and handlers plant trace context on mid-request fan-out so
 	// one request's spans from all tiers assemble into a single tree
-	// (internal/tailtrace). Incompatible with UseBatcher: batched
-	// exchanges carry no per-call trace context.
+	// (internal/tailtrace).
 	Trace bool
 	// TraceSampleRate keeps 1 in N traces when tracing (default 1 =
 	// all). The verdict is a deterministic hash of the trace ID, so
@@ -86,29 +82,11 @@ func (c *RunnerConfig) setDefaults() {
 	}
 }
 
-// edgeCaller is one graph edge's downstream transport: a ClientPool by
-// default, or a Batcher over one connection with UseBatcher.
-type edgeCaller interface {
-	CallContext(ctx context.Context, req rpc.Message) (rpc.Message, error)
-	Close() error
-}
-
-// batcherCaller adapts a Batcher plus its underlying client to edgeCaller.
-type batcherCaller struct {
-	b *rpc.Batcher
-	c *rpc.Client
-}
-
-func (bc *batcherCaller) CallContext(ctx context.Context, req rpc.Message) (rpc.Message, error) {
-	return bc.b.CallContext(ctx, req)
-}
-
-func (bc *batcherCaller) Close() error {
-	err := bc.b.Close()
-	if cerr := bc.c.Close(); err == nil {
-		err = cerr
-	}
-	return err
+// edge is one dialed graph edge: the pooled clients to the target node
+// and the method its requests carry, built once at dial time.
+type edge struct {
+	pool   *rpc.ClientPool
+	method string // "<target>.req"
 }
 
 // nodeRuntime is one live node: a real rpc.Server on loopback plus the
@@ -127,7 +105,7 @@ type nodeRuntime struct {
 
 	lis   net.Listener
 	srv   *rpc.Server
-	edges []edgeCaller // index-aligned with node.Children
+	edges []edge // index-aligned with node.Children
 
 	latency *telemetry.Histogram
 	errors  *telemetry.Counter
@@ -143,7 +121,7 @@ type Runner struct {
 
 	nodes  []*nodeRuntime // graph declaration order
 	byName map[string]*nodeRuntime
-	roots  []edgeCaller // index-aligned with graph.Roots()
+	roots  []edge // index-aligned with graph.Roots()
 	e2e    *telemetry.Histogram
 	tracer *telemetry.Tracer // the injector's span sink (nil without Trace)
 
@@ -166,12 +144,6 @@ func NewRunner(g *Graph, cfg RunnerConfig) (*Runner, error) {
 	}
 	if cfg.Async && cfg.Accel == nil {
 		return nil, fmt.Errorf("topology: runner: Async requires Accel (the offload parameters)")
-	}
-	if cfg.Async && cfg.UseBatcher {
-		return nil, fmt.Errorf("topology: runner: Async and UseBatcher are mutually exclusive (async servers do not accept batch frames)")
-	}
-	if cfg.Trace && cfg.UseBatcher {
-		return nil, fmt.Errorf("topology: runner: Trace and UseBatcher are mutually exclusive (batched exchanges carry no per-call trace context)")
 	}
 	cfg.setDefaults()
 	r := &Runner{
@@ -303,21 +275,21 @@ func (r *Runner) Start(ctx context.Context) error {
 		for _, child := range nr.node.Children {
 			// The edge's spans (rpc.Call and its stages) belong to the
 			// calling node's timeline, so the parent's tracer rides along.
-			ec, err := r.dialEdge(r.byName[child], nr.tracer)
+			e, err := r.dialEdge(r.byName[child], nr.tracer)
 			if err != nil {
 				r.Close() //modelcheck:ignore errdrop — best-effort unwind, the dial error is reported
 				return fmt.Errorf("topology: edge %s -> %s: %w", nr.node.Name, child, err)
 			}
-			nr.edges = append(nr.edges, ec)
+			nr.edges = append(nr.edges, e)
 		}
 	}
 	for _, root := range r.graph.Roots() {
-		ec, err := r.dialEdge(r.byName[root], r.tracer)
+		e, err := r.dialEdge(r.byName[root], r.tracer)
 		if err != nil {
 			r.Close() //modelcheck:ignore errdrop — best-effort unwind, the dial error is reported
 			return fmt.Errorf("topology: root %s: %w", root, err)
 		}
-		r.roots = append(r.roots, ec)
+		r.roots = append(r.roots, e)
 	}
 	return nil
 }
@@ -325,9 +297,9 @@ func (r *Runner) Start(ctx context.Context) error {
 // dialEdge connects an upstream caller to a node's listener; tracer
 // (optional) instruments every pooled client so each downstream call
 // produces a joined rpc.Call span on the caller's timeline.
-func (r *Runner) dialEdge(target *nodeRuntime, tracer *telemetry.Tracer) (edgeCaller, error) {
+func (r *Runner) dialEdge(target *nodeRuntime, tracer *telemetry.Tracer) (edge, error) {
 	addr := target.lis.Addr().String()
-	dial := func() (*rpc.Client, error) {
+	pool, err := rpc.NewClientPool(r.cfg.PoolSize, func() (*rpc.Client, error) {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			return nil, err
@@ -340,20 +312,8 @@ func (r *Runner) dialEdge(target *nodeRuntime, tracer *telemetry.Tracer) (edgeCa
 			c.Instrument(&rpc.Instrumentation{Tracer: tracer})
 		}
 		return c, nil
-	}
-	if r.cfg.UseBatcher {
-		c, err := dial()
-		if err != nil {
-			return nil, err
-		}
-		b, err := rpc.NewBatcher(c, rpc.BatcherConfig{})
-		if err != nil {
-			c.Close() //modelcheck:ignore errdrop — best-effort unwind, the batcher error is reported
-			return nil, err
-		}
-		return &batcherCaller{b: b, c: c}, nil
-	}
-	return rpc.NewClientPool(r.cfg.PoolSize, dial)
+	})
+	return edge{pool: pool, method: target.node.Name + ".req"}, err
 }
 
 // handle is every node's rpc.Handler: burn the node's local spin cost,
@@ -373,36 +333,48 @@ func (nr *nodeRuntime) handle(ctx context.Context, req rpc.Message) (rpc.Message
 	return rpc.Message{Method: req.Method, Payload: []byte{1}}, nil
 }
 
-// fanOut issues req to every child concurrently and waits for all of
-// them, returning the first failure. sp (optional) is the node's
-// server-side span: its trace context rides the downstream requests so
-// each child tier joins the same trace.
+// fanOut issues req to every child and waits for all of them. sp
+// (optional) is the node's server-side span: its trace context rides the
+// downstream requests so each child tier joins the same trace.
 func (nr *nodeRuntime) fanOut(ctx context.Context, req rpc.Message, sp *telemetry.Span) error {
-	if len(nr.edges) == 0 {
+	if err := nr.runner.callEdges(ctx, nr.edges, req.Payload, sp); err != nil {
+		return fmt.Errorf("%s: downstream: %w", nr.node.Name, err)
+	}
+	return nil
+}
+
+// callEdges issues payload to every edge concurrently, each call bounded
+// by CallTimeout and carrying sp's trace context, waits for all of them
+// and returns the first failure. It is the one call path for both root
+// injection and mid-request fan-out. The last edge runs on the calling
+// goroutine, so a single edge starts no goroutine.
+func (r *Runner) callEdges(ctx context.Context, edges []edge, payload []byte, sp *telemetry.Span) error {
+	n := len(edges)
+	if n == 0 {
 		return nil
 	}
-	errc := make(chan error, len(nr.edges))
-	for i := range nr.edges {
-		go func(i int) {
-			cctx, cancel := context.WithTimeout(ctx, nr.runner.cfg.CallTimeout)
-			defer cancel()
-			_, err := nr.edges[i].CallContext(cctx, rpc.WithTraceContext(rpc.Message{
-				Method:  nr.node.Children[i] + ".req",
-				Payload: req.Payload,
-			}, sp))
-			errc <- err
-		}(i)
+	var errc chan error
+	if n > 1 {
+		errc = make(chan error, n-1)
+		for i := range edges[:n-1] {
+			go func(e *edge) { errc <- r.callEdge(ctx, e, payload, sp) }(&edges[i])
+		}
 	}
-	var firstErr error
-	for range nr.edges {
+	firstErr := r.callEdge(ctx, &edges[n-1], payload, sp)
+	for i := 0; i < n-1; i++ {
 		if err := <-errc; err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	if firstErr != nil {
-		return fmt.Errorf("%s: downstream: %w", nr.node.Name, firstErr)
-	}
-	return nil
+	return firstErr
+}
+
+// callEdge issues one call on e under a fresh CallTimeout.
+func (r *Runner) callEdge(ctx context.Context, e *edge, payload []byte, sp *telemetry.Span) error {
+	cctx, cancel := context.WithTimeout(ctx, r.cfg.CallTimeout)
+	defer cancel()
+	_, err := e.pool.CallContext(cctx, rpc.WithTraceContext(rpc.Message{Method: e.method, Payload: payload}, sp))
+	return err
 }
 
 // startAsync stands up the node's accelerator, completion-queue engine
@@ -463,7 +435,10 @@ func calibrateSpinNanos() float64 {
 
 // Call injects one request at every root concurrently and waits for all
 // of them; the slowest root defines the request's end-to-end latency,
-// which is recorded in the e2e histogram on success.
+// which is recorded in the e2e histogram on success. The first failure is
+// returned: a failed child call comes back as the parent's remote error
+// "<parent>: downstream: ...", unless the root call's own CallTimeout,
+// which started first, expires before the parent answers.
 func (r *Runner) Call(ctx context.Context, payload []byte) (time.Duration, error) {
 	if len(r.roots) == 0 {
 		return 0, fmt.Errorf("topology: runner not started")
@@ -473,28 +448,11 @@ func (r *Runner) Call(ctx context.Context, payload []byte) (time.Duration, error
 	// latency are the same interval by construction.
 	sp := r.tracer.Start("topo.request")
 	start := time.Now()
-	errc := make(chan error, len(r.roots))
-	for i := range r.roots {
-		go func(i int) {
-			cctx, cancel := context.WithTimeout(ctx, r.cfg.CallTimeout)
-			defer cancel()
-			_, err := r.roots[i].CallContext(cctx, rpc.WithTraceContext(rpc.Message{
-				Method:  r.graph.Roots()[i] + ".req",
-				Payload: payload,
-			}, sp))
-			errc <- err
-		}(i)
-	}
-	var firstErr error
-	for range r.roots {
-		if err := <-errc; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
+	err := r.callEdges(ctx, r.roots, payload, sp)
 	elapsed := time.Since(start)
 	sp.End()
-	if firstErr != nil {
-		return elapsed, firstErr
+	if err != nil {
+		return elapsed, err
 	}
 	r.e2e.Record(float64(elapsed))
 	return elapsed, nil
@@ -590,12 +548,12 @@ func (r *Runner) Close() error {
 				first = err
 			}
 		}
-		for _, ec := range r.roots {
-			keep(ec.Close())
+		for _, e := range r.roots {
+			keep(e.pool.Close())
 		}
 		for _, nr := range r.nodes {
-			for _, ec := range nr.edges {
-				keep(ec.Close())
+			for _, e := range nr.edges {
+				keep(e.pool.Close())
 			}
 		}
 		for _, nr := range r.nodes {

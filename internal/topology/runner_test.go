@@ -2,6 +2,7 @@ package topology
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -115,23 +116,6 @@ func TestRunnerTraceArrivals(t *testing.T) {
 		if e.Outcome != record.OutcomeOK {
 			t.Fatalf("captured outcome = %v", e.Outcome)
 		}
-	}
-}
-
-// TestRunnerBatcherEdges swaps every edge's client pool for a Batcher.
-func TestRunnerBatcherEdges(t *testing.T) {
-	cfg := fastConfig(nil)
-	cfg.UseBatcher = true
-	r := startRunner(t, "topology b\nnode Front work=2 kernel=2 -> Leaf\nnode Leaf work=2 kernel=2\n", cfg)
-	stats, err := r.RunOpenLoop(context.Background(), LoadConfig{QPS: 1000, Requests: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Issued != 32 || stats.Errors != 0 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if rep := r.Report(); rep.Tiers[1].Requests != 32 {
-		t.Fatalf("leaf saw %d requests, want 32", rep.Tiers[1].Requests)
 	}
 }
 
@@ -286,9 +270,69 @@ func TestRunnerAsyncValidation(t *testing.T) {
 	if _, err := NewRunner(g, cfg); err == nil {
 		t.Fatal("Async without Accel succeeded")
 	}
-	cfg.Accel = &testAccel
-	cfg.UseBatcher = true
-	if _, err := NewRunner(g, cfg); err == nil {
-		t.Fatal("Async with UseBatcher succeeded")
+}
+
+// TestRunnerDownstreamFailure pins the fan-out path's failure semantics
+// for one and two roots: a failed child call counts against the parent
+// tier, fails the injected request, and leaves the e2e histogram alone.
+// Two causes: a closed edge fails at once, so the parent's error comes
+// back as the request's error; a slow leaf under a tiny CallTimeout
+// fails the parent's child call too, but the root call's own deadline,
+// started earlier, expires first.
+func TestRunnerDownstreamFailure(t *testing.T) {
+	graphs := []struct{ name, spec string }{
+		{"one-root", "topology f\nnode Front work=1 kernel=0 -> Leaf\nnode Leaf work=50 kernel=0\n"},
+		{"two-roots", "topology f\nnode Front work=1 kernel=0 -> Leaf\nnode Side work=1 kernel=0\nnode Leaf work=50 kernel=0\n"},
 	}
+	for _, g := range graphs {
+		for _, cause := range []string{"closed-edge", "slow-leaf"} {
+			t.Run(g.name+"/"+cause, func(t *testing.T) {
+				cfg := RunnerConfig{UnitIters: 20, PoolSize: 1, CallTimeout: 5 * time.Second}
+				if cause == "slow-leaf" {
+					// Leaf spins 50 units of 1e6 iterations: far beyond
+					// the 20 ms every call is allowed.
+					cfg.UnitIters, cfg.CallTimeout = 1_000_000, 20*time.Millisecond
+				}
+				r := startRunner(t, g.spec, cfg)
+				if cause == "closed-edge" {
+					if err := r.byName["Front"].edges[0].pool.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				_, err := r.Call(context.Background(), []byte("x"))
+				switch {
+				case err == nil:
+					t.Fatal("Call succeeded with a failing child")
+				case cause == "closed-edge" && !strings.Contains(err.Error(), "Front: downstream:"):
+					t.Fatalf("Call error = %v, want it to name the parent", err)
+				case cause == "slow-leaf" && !errors.Is(err, context.DeadlineExceeded):
+					t.Fatalf("Call error = %v, want the root call's deadline", err)
+				}
+				// The slow leaf's parent gives up one CallTimeout after the
+				// root call did; poll for its error count.
+				deadline := time.Now().Add(5 * time.Second)
+				for tierErrors(t, r.Report(), "Front") == 0 && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				rep := r.Report()
+				if got := tierErrors(t, rep, "Front"); got != 1 {
+					t.Fatalf("Front errors = %d, want 1", got)
+				}
+				if rep.E2ERequests != 0 {
+					t.Fatalf("e2e requests = %d, want 0 after a failed request", rep.E2ERequests)
+				}
+			})
+		}
+	}
+}
+
+func tierErrors(t *testing.T, rep Report, node string) uint64 {
+	t.Helper()
+	for _, ts := range rep.Tiers {
+		if ts.Node == node {
+			return ts.Errors
+		}
+	}
+	t.Fatalf("report has no tier %s", node)
+	return 0
 }

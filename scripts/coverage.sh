@@ -12,9 +12,12 @@
 #                              of runner.go only on full runs)
 #   internal/kernels   90.0%  (async serving-path PR; measured 96.0%
 #                              with the SimAccel error-path tests)
+#   internal/record    90.9%  (one-replay-stack PR: record.ReplayArm is
+#                              the RPC replay path cmd/accelerometer and
+#                              cmd/abtest share)
 #
 # Usage: scripts/coverage.sh
-#        RPC_COVER_MIN=90 TOPOLOGY_COVER_MIN=85 KERNELS_COVER_MIN=92 scripts/coverage.sh
+#        RPC_COVER_MIN=90 TOPOLOGY_COVER_MIN=85 KERNELS_COVER_MIN=92 RECORD_COVER_MIN=91 scripts/coverage.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,3 +43,4 @@ gate() {
 gate internal/rpc "${RPC_COVER_MIN:-88.6}"
 gate internal/topology "${TOPOLOGY_COVER_MIN:-80}"
 gate internal/kernels "${KERNELS_COVER_MIN:-90}"
+gate internal/record "${RECORD_COVER_MIN:-90.9}"
