@@ -31,6 +31,9 @@ import (
 // captured by closures transfer ownership to code this analyzer does not
 // second-guess — those idioms are the hot path's own (see
 // internal/rpc/pipeline.go) and remain the API comments' responsibility.
+// Gets that return (buffer, error) — the frame encoder's shape — are
+// tracked from the call: the path that finds the error non-nil owns
+// nothing, the path that finds it nil owns the buffer.
 var PoolCheck = &Analyzer{
 	Name: "poolcheck",
 	Doc:  "flags pool buffers that leak, are used after put, or are put twice",
@@ -43,6 +46,9 @@ var PoolCheck = &Analyzer{
 var (
 	poolGetFuncs = map[string]string{"getBuf": "internal/rpc", "GetScratch": "internal/kernels"}
 	poolPutFuncs = map[string]string{"putBuf": "internal/rpc", "PutScratch": "internal/kernels"}
+	// poolGetErrFuncs return (buffer, error): the buffer is pool-owned
+	// exactly when the error is nil.
+	poolGetErrFuncs = map[string]string{"encodeFrame": "internal/rpc"}
 )
 
 func isPoolCall(info *types.Info, call *ast.CallExpr, table map[string]string) bool {
@@ -86,10 +92,14 @@ func runPoolCheck(pass *Pass) {
 type poolState uint8
 
 const (
-	psLive     poolState = iota // owned, not yet released
-	psPending                   // a defer put is registered; release happens at exit
-	psReleased                  // put back in the pool
+	psLive      poolState = iota // owned, not yet released
+	psPending                    // a defer put is registered; release happens at exit
+	psReleased                   // put back in the pool
+	psUnchecked                  // owned unless the paired error, not yet tested, is non-nil
 )
+
+// owned reports whether the path still holds the buffer unreleased.
+func (st poolState) owned() bool { return st == psLive || st == psUnchecked }
 
 // poolEvent classifies what one statement does to the tracked variable.
 type poolEvent uint8
@@ -104,13 +114,15 @@ const (
 	evTransfer            // ownership leaves this variable (return/send/alias/…)
 )
 
-// getSite is one tracked `v := getBuf(n)` statement.
+// getSite is one tracked `v := getBuf(n)` statement. errObj is the error
+// paired with v by a `v, err := encodeFrame(...)` get, nil otherwise.
 type getSite struct {
-	obj   types.Object
-	stmt  ast.Stmt
-	call  *ast.CallExpr
-	block *Block
-	index int
+	obj    types.Object
+	errObj types.Object
+	stmt   ast.Stmt
+	call   *ast.CallExpr
+	block  *Block
+	index  int
 }
 
 func checkPoolBody(pass *Pass, body *ast.BlockStmt) {
@@ -137,11 +149,11 @@ func checkPoolBody(pass *Pass, body *ast.BlockStmt) {
 	var sites []getSite
 	for _, b := range cfg.Blocks {
 		for i, s := range b.Stmts {
-			obj, call := trackedGet(pass, s)
+			obj, errObj, call := trackedGet(pass, s)
 			if obj == nil || closureTouched[obj] {
 				continue
 			}
-			sites = append(sites, getSite{obj: obj, stmt: s, call: call, block: b, index: i})
+			sites = append(sites, getSite{obj: obj, errObj: errObj, stmt: s, call: call, block: b, index: i})
 		}
 	}
 	for _, site := range sites {
@@ -151,32 +163,90 @@ func checkPoolBody(pass *Pass, body *ast.BlockStmt) {
 
 // trackedGet recognizes `v := getBuf(n)` / `v = GetScratch(n)[:n]` /
 // `v := getBufN(n)` forms — direct pool gets or summary-resolved get
-// helpers — where v is a plain local identifier, returning the variable
-// and the get call.
-func trackedGet(pass *Pass, s ast.Stmt) (types.Object, *ast.CallExpr) {
-	info := pass.Info
+// helpers — and the `v, err := p.encodeFrame(...)` form, where v is a
+// plain local identifier, returning the variable, the paired error
+// variable (nil for the single-result forms or a blank error) and the get
+// call.
+func trackedGet(pass *Pass, s ast.Stmt) (types.Object, types.Object, *ast.CallExpr) {
 	assign, ok := s.(*ast.AssignStmt)
-	if !ok || len(assign.Lhs) != len(assign.Rhs) {
-		return nil, nil
+	if !ok {
+		return nil, nil, nil
+	}
+	if len(assign.Lhs) == 2 && len(assign.Rhs) == 1 {
+		call, ok := ast.Unparen(assign.Rhs[0]).(*ast.CallExpr)
+		if ok && isPoolCall(pass.Info, call, poolGetErrFuncs) {
+			if obj := localObj(pass.Info, assign.Lhs[0]); obj != nil {
+				return obj, localObj(pass.Info, assign.Lhs[1]), call
+			}
+		}
+		return nil, nil, nil
+	}
+	if len(assign.Lhs) != len(assign.Rhs) {
+		return nil, nil, nil
 	}
 	for i, rhs := range assign.Rhs {
 		call := getCallOf(pass, rhs)
 		if call == nil {
 			continue
 		}
-		id, ok := assign.Lhs[i].(*ast.Ident)
-		if !ok || id.Name == "_" {
-			continue
-		}
-		obj := info.Defs[id]
-		if obj == nil {
-			obj = info.Uses[id]
-		}
-		if obj != nil {
-			return obj, call
+		if obj := localObj(pass.Info, assign.Lhs[i]); obj != nil {
+			return obj, nil, call
 		}
 	}
-	return nil, nil
+	return nil, nil, nil
+}
+
+// localObj resolves an assignment target that is a plain, non-blank
+// identifier.
+func localObj(info *types.Info, e ast.Expr) types.Object {
+	id, ok := e.(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return nil
+	}
+	if obj := info.Defs[id]; obj != nil {
+		return obj
+	}
+	return info.Uses[id]
+}
+
+// errNilTest reports whether s is an if condition `err != nil` or
+// `err == nil` on errObj, and whether the then-branch is the one where
+// err is non-nil.
+func errNilTest(info *types.Info, errObj types.Object, s ast.Stmt) (nonNilThen, ok bool) {
+	es, isExpr := s.(*ast.ExprStmt)
+	if !isExpr {
+		return false, false
+	}
+	bin, isBin := ast.Unparen(es.X).(*ast.BinaryExpr)
+	if !isBin || (bin.Op != token.NEQ && bin.Op != token.EQL) {
+		return false, false
+	}
+	isErr := func(e ast.Expr) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && info.Uses[id] == errObj
+	}
+	isNil := func(e ast.Expr) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && id.Name == "nil" && info.Uses[id] == types.Universe.Lookup("nil")
+	}
+	if !(isErr(bin.X) && isNil(bin.Y)) && !(isNil(bin.X) && isErr(bin.Y)) {
+		return false, false
+	}
+	return bin.Op == token.NEQ, true
+}
+
+// assignsTo reports whether s assigns to obj.
+func assignsTo(info *types.Info, obj types.Object, s ast.Stmt) bool {
+	assign, ok := s.(*ast.AssignStmt)
+	if !ok {
+		return false
+	}
+	for _, lhs := range assign.Lhs {
+		if localObj(info, lhs) == obj {
+			return true
+		}
+	}
+	return false
 }
 
 // getCallOf unwraps a pool-get expression: a direct pool-get call, a
@@ -223,19 +293,39 @@ func checkGetSite(pass *Pass, cfg *CFG, site getSite) {
 	visited := map[*Block]uint8{}
 	var walk func(b *Block, from int, st poolState)
 	walk = func(b *Block, from int, st poolState) {
-		for _, s := range b.Stmts[from:] {
+		for i, s := range b.Stmts[from:] {
+			if st == psUnchecked {
+				// The if condition ends its block; Succs[0] is the
+				// then-branch. The branch that sees a non-nil error owns
+				// nothing, so its path ends here.
+				if nonNilThen, ok := errNilTest(pass.Info, site.errObj, s); ok &&
+					from+i == len(b.Stmts)-1 && len(b.Succs) == 2 {
+					owning := b.Succs[1]
+					if !nonNilThen {
+						owning = b.Succs[0]
+					}
+					if visited[owning]&(1<<psLive) == 0 {
+						visited[owning] |= 1 << psLive
+						walk(owning, 0, psLive)
+					}
+					return
+				}
+				if assignsTo(pass.Info, site.errObj, s) {
+					st = psLive // the error no longer speaks for the buffer
+				}
+			}
 			switch classifyPoolStmt(pass, site.obj, s) {
 			case evRead:
 				if st == psReleased {
 					report(s, "%s is used after being returned to the pool; the pool may already have reissued it", site.obj.Name())
 				}
 			case evPut:
-				if st != psLive {
+				if !st.owned() {
 					report(s, "%s is returned to the pool twice on some path; two future gets would share one buffer", site.obj.Name())
 				}
 				st = psReleased
 			case evDeferPut:
-				if st != psLive {
+				if !st.owned() {
 					report(s, "%s is returned to the pool twice on some path; two future gets would share one buffer", site.obj.Name())
 				}
 				st = psPending
@@ -243,12 +333,12 @@ func checkGetSite(pass *Pass, cfg *CFG, site getSite) {
 				// A fresh get starts its own tracked epoch; the old buffer
 				// leaks unless released or covered by a pending defer put
 				// (whose argument was evaluated at registration).
-				if st == psLive {
+				if st.owned() {
 					leaked = true
 				}
 				return
 			case evOverwrite:
-				if st == psLive {
+				if st.owned() {
 					leaked = true
 				}
 				return
@@ -260,7 +350,7 @@ func checkGetSite(pass *Pass, cfg *CFG, site getSite) {
 			}
 		}
 		if b == cfg.Exit {
-			if st == psLive {
+			if st.owned() {
 				leaked = true
 			}
 			return
@@ -273,7 +363,11 @@ func checkGetSite(pass *Pass, cfg *CFG, site getSite) {
 			}
 		}
 	}
-	walk(site.block, site.index+1, psLive)
+	start := psLive
+	if site.errObj != nil {
+		start = psUnchecked
+	}
+	walk(site.block, site.index+1, start)
 	if leaked {
 		pass.Reportf(site.call, SeverityError,
 			"pooled buffer %s does not reach a put or an ownership transfer on every non-panic path; the pool loses it and the hot path re-allocates", site.obj.Name())

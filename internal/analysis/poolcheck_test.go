@@ -260,6 +260,75 @@ func f() int {
 			want: nil,
 		},
 		{
+			name: "buffer-error get released after the error check is fine",
+			src: poolFixturePrelude + `func encodeFrame(n int) ([]byte, error) { return getBuf(n), nil }
+func f() int {
+	b, err := encodeFrame(64)
+	if err != nil {
+		return 0
+	}
+	n := use(b)
+	putBuf(b)
+	return n
+}
+`,
+			want: nil,
+		},
+		{
+			name: "buffer-error get leaks on the error-nil path",
+			src: poolFixturePrelude + `func encodeFrame(n int) ([]byte, error) { return getBuf(n), nil }
+func f() int {
+	b, err := encodeFrame(64) // line 7: flagged
+	if err != nil {
+		return 0
+	}
+	return use(b)
+}
+`,
+			want: []int{7},
+		},
+		{
+			name: "buffer-error get put on the err == nil branch is fine",
+			src: poolFixturePrelude + `func encodeFrame(n int) ([]byte, error) { return getBuf(n), nil }
+func f() {
+	b, err := encodeFrame(64)
+	if err == nil {
+		putBuf(b)
+	}
+}
+`,
+			want: nil,
+		},
+		{
+			name: "buffer-error get double put after the check",
+			src: poolFixturePrelude + `func encodeFrame(n int) ([]byte, error) { return getBuf(n), nil }
+func f() {
+	b, err := encodeFrame(64)
+	if err != nil {
+		return
+	}
+	putBuf(b)
+	putBuf(b) // line 12: flagged
+}
+`,
+			want: []int{12},
+		},
+		{
+			name: "buffer-error get whose error is reused before the check",
+			src: poolFixturePrelude + `func encodeFrame(n int) ([]byte, error) { return getBuf(n), nil }
+func g() error { return nil }
+func f() {
+	b, err := encodeFrame(64) // line 8: flagged — err no longer speaks for b
+	err = g()
+	if err != nil {
+		return
+	}
+	putBuf(b)
+}
+`,
+			want: []int{8},
+		},
+		{
 			name: "ignore directive suppresses",
 			src: poolFixturePrelude + `func f() int {
 	b := getBuf(64) //modelcheck:ignore poolcheck — released by the caller via Close

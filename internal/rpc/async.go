@@ -482,7 +482,6 @@ type connWriter struct {
 	mu   sync.Mutex
 	conn io.Writer
 	enc  *Pipeline
-	hdr  [4]byte
 }
 
 // respond encodes and writes one response frame. sp (optional) receives
@@ -490,14 +489,14 @@ type connWriter struct {
 // end of the request's server-side span.
 func (cw *connWriter) respond(ctx context.Context, m Message, sp *telemetry.Span) error {
 	cw.mu.Lock()
-	out, err := cw.enc.EncodeCtx(ctx, m, sp)
+	out, err := cw.enc.encodeFrame(ctx, m, sp)
 	if err != nil {
 		cw.mu.Unlock()
 		sp.End()
 		return err
 	}
-	werr := writeFrame(cw.conn, out, &cw.hdr)
-	putBuf(out) // the frame write flushed; the encode buffer is dead
+	werr := writeFrame(cw.conn, out)
+	putBuf(out) // the frame write returned; the encode buffer is dead
 	cw.mu.Unlock()
 	sp.End()
 	return werr

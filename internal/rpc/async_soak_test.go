@@ -108,12 +108,16 @@ func soakIssueAndMeasure(t *testing.T, client *MuxClient, dev *kernels.SimAccel,
 			t.Fatalf("issue %d/%d: %v", i, n, err)
 		}
 	}
-	// Every request must be parked inside the device simultaneously.
+	// Every request must be parked inside the device simultaneously. The
+	// wait is on the device's own queue, not the engine's Parked counter:
+	// the engine counts a park before dev.Submit lands, so flushing on that
+	// counter can miss the last submits and strand them behind the device
+	// latency.
 	deadline := time.Now().Add(2 * time.Minute)
-	for eng.Stats().Parked < int64(n) {
+	for dev.InFlight() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d requests parked in time (engine %+v, device %+v)",
-				eng.Stats().Parked, n, eng.Stats(), dev.Stats())
+			t.Fatalf("only %d of %d requests submitted to the device in time (engine %+v, device %+v)",
+				dev.InFlight(), n, eng.Stats(), dev.Stats())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

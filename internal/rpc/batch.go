@@ -251,8 +251,8 @@ type batchCall struct {
 //
 // The Batcher owns the client's exchange path: while a Batcher is
 // attached, issue all traffic through it rather than calling the Client
-// directly (the underlying Client is not safe for concurrent use; the
-// single flusher goroutine is what serializes the wire).
+// directly (direct calls stay safe but queue behind each batch exchange
+// on the client's lock, losing the coalescing).
 type Batcher struct {
 	client *Client
 	cfg    BatcherConfig

@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 )
 
@@ -10,22 +11,25 @@ import (
 var ErrPoolClosed = errors.New("rpc: client pool closed")
 
 // ClientPool multiplexes concurrent callers over a fixed set of
-// clients, each on its own connection. A single Client is deliberately
-// not safe for concurrent use (see Call); the pool is the documented
-// alternative for callers that need mid-request fan-out without the
-// Batcher's coalescing latency — the topology driver issues every
-// downstream edge's calls through one.
+// clients, each on its own connection. A single Client is safe for
+// concurrent use but runs one exchange at a time; the pool lets that
+// many exchanges overlap without the Batcher's coalescing latency — the
+// topology driver issues every downstream edge's calls through one.
 //
 // CallContext checks a client out (blocking while all are busy, so the
 // pool also bounds per-edge concurrency), runs the call, and returns it.
-// A client whose call failed is still returned: the error surfaces to
-// the caller and subsequent calls on a broken connection fail fast.
+// A client whose call failed after its request was sent (a timeout, a
+// cancellation, a dropped connection) is broken for good, so the abandoned
+// call's late response can never answer a later call (see Client). The
+// pool keeps it in its slot and replaces it with a fresh dial the next
+// time the slot is checked out.
 type ClientPool struct {
-	free    chan *Client
-	clients []*Client
+	free chan *Client
+	dial func() (*Client, error)
 
-	mu     sync.Mutex
-	closed bool
+	mu      sync.Mutex // guards closed and clients' elements
+	closed  bool
+	clients []*Client
 }
 
 // NewClientPool dials size clients and pools them. On any dial error the
@@ -37,21 +41,50 @@ func NewClientPool(size int, dial func() (*Client, error)) (*ClientPool, error) 
 	if dial == nil {
 		return nil, errors.New("rpc: nil dial function")
 	}
-	p := &ClientPool{free: make(chan *Client, size)}
+	p := &ClientPool{free: make(chan *Client, size), dial: dial}
 	for i := 0; i < size; i++ {
-		c, err := dial()
+		c, err := p.dialOne()
 		if err != nil {
 			_ = p.Close() //modelcheck:ignore errdrop — the dial error is primary; unwind is best-effort
 			return nil, err
-		}
-		if c == nil {
-			_ = p.Close() //modelcheck:ignore errdrop — the dial error is primary; unwind is best-effort
-			return nil, errors.New("rpc: dial returned nil client")
 		}
 		p.clients = append(p.clients, c)
 		p.free <- c
 	}
 	return p, nil
+}
+
+// dialOne runs the pool's dial function, rejecting a nil client.
+func (p *ClientPool) dialOne() (*Client, error) {
+	c, err := p.dial()
+	if err != nil {
+		return nil, err
+	}
+	if c == nil {
+		return nil, errors.New("rpc: dial returned nil client")
+	}
+	return c, nil
+}
+
+// redial replaces old, which a failed exchange broke, with a freshly
+// dialed client in the same slot. The caller holds old checked out.
+func (p *ClientPool) redial(old *Client) (*Client, error) {
+	c, err := p.dialOne()
+	if err != nil {
+		return nil, fmt.Errorf("rpc: client pool redial: %w", err)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		c.Close() //modelcheck:ignore errdrop — never handed out; the pool is already closed
+		return nil, ErrPoolClosed
+	}
+	for i := range p.clients {
+		if p.clients[i] == old {
+			p.clients[i] = c
+		}
+	}
+	return c, nil
 }
 
 // Size returns the number of pooled clients.
@@ -81,6 +114,14 @@ func (p *ClientPool) CallContext(ctx context.Context, req Message) (Message, err
 			p.free <- c // keep the pool drainable for other racers
 			return Message{}, ErrPoolClosed
 		}
+		if c.failed.Load() {
+			fresh, err := p.redial(c)
+			if err != nil {
+				p.free <- c // the slot stays broken; a later checkout retries
+				return Message{}, err
+			}
+			c = fresh
+		}
 		defer func() { p.free <- c }()
 		return c.CallContext(ctx, req)
 	case <-ctx.Done():
@@ -97,9 +138,10 @@ func (p *ClientPool) Close() error {
 		return nil
 	}
 	p.closed = true
+	clients := p.clients // no redial replaces a client once closed is set
 	p.mu.Unlock()
 	var first error
-	for _, c := range p.clients {
+	for _, c := range clients {
 		if err := c.Close(); err != nil && first == nil {
 			first = err
 		}

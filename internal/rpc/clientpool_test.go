@@ -54,10 +54,40 @@ func dialPool(t *testing.T, addr string, size int) *ClientPool {
 	return p
 }
 
+// TestClientPoolRedialsBrokenClient: a call that times out after sending
+// breaks its client; the pool replaces that client on the next checkout,
+// so the slot keeps serving and never returns the abandoned response.
+func TestClientPoolRedialsBrokenClient(t *testing.T) {
+	gate := make(chan struct{})
+	p := dialPool(t, startPoolServer(t, gate, nil), 1)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if _, err := p.CallContext(ctx, Message{Method: "m", Payload: []byte("first")}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("first call: got %v, want DeadlineExceeded", err)
+	}
+	close(gate) // the server now answers the abandoned call
+	for _, want := range []string{"second", "third"} {
+		resp, err := p.CallContext(context.Background(), Message{Method: "m", Payload: []byte(want)})
+		if err != nil {
+			t.Fatalf("call %q after a broken client: %v", want, err)
+		}
+		if string(resp.Payload) != want {
+			t.Fatalf("call %q returned %q", want, resp.Payload)
+		}
+	}
+	if p.Size() != 1 {
+		t.Fatalf("Size = %d after redial, want 1", p.Size())
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
 // TestClientPoolConcurrent hammers one pool from many goroutines — far
 // more than pooled clients — and checks every response round-trips
-// intact. A single Client is not concurrent-safe, so this passing under
-// -race is the pool's core guarantee.
+// intact under -race: checkout must hand each client to one caller at a
+// time and never cross-wire responses.
 func TestClientPoolConcurrent(t *testing.T) {
 	addr := startPoolServer(t, nil, nil)
 	p := dialPool(t, addr, 3)

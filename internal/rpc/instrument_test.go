@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"net"
+	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -124,6 +126,51 @@ func TestCallContextClearsDeadline(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if _, err := client.Call(Message{Method: "two"}); err != nil {
 		t.Fatalf("call after deadline-bounded call: %v", err)
+	}
+}
+
+// TestCallContextTimeoutBreaksClient: a call that times out after its
+// request was sent must not leave the late response in the stream for the
+// next call to read. The slow first response would otherwise come back as
+// the second call's successful result.
+func TestCallContextTimeoutBreaksClient(t *testing.T) {
+	var calls atomic.Int32
+	client, shutdown := startEchoServer(t, func(_ context.Context, m Message) (Message, error) {
+		if calls.Add(1) == 1 {
+			time.Sleep(50 * time.Millisecond)
+		}
+		return m, nil
+	}, nil)
+	defer shutdown()
+
+	// A call that ends before sending leaves the client usable.
+	pre, cancelPre := context.WithCancel(context.Background())
+	cancelPre()
+	if _, err := client.CallContext(pre, Message{Method: "x"}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled call: got %v", err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if _, err := client.CallContext(ctx, Message{Method: "echo", Payload: []byte("first")}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("first call: got %v, want DeadlineExceeded", err)
+	}
+	time.Sleep(80 * time.Millisecond) // the late "first" response reaches the socket
+	resp, err := client.CallContext(context.Background(), Message{Method: "echo", Payload: []byte("second")})
+	if err == nil {
+		t.Fatalf("second call returned %q with no error; want the broken-client error", resp.Payload)
+	}
+	if !errors.Is(err, errClientBroken) || !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("second call: got %v, want errClientBroken wrapping the timeout", err)
+	}
+	if _, err := client.Call(Message{Method: "echo"}); !errors.Is(err, errClientBroken) {
+		t.Fatalf("third call: got %v, want the sticky errClientBroken", err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("server handled %d calls, want only the first", n)
+	}
+	if err := client.Close(); err != nil {
+		t.Fatalf("Close after the client broke its own conn: %v", err)
 	}
 }
 

@@ -28,9 +28,8 @@ var ErrClientClosed = errors.New("rpc: mux client closed")
 type MuxClient struct {
 	conn net.Conn
 
-	wmu sync.Mutex // guards enc, hdr, and frame writes
+	wmu sync.Mutex // guards enc and frame writes
 	enc *Pipeline
-	hdr [4]byte
 
 	mu      sync.Mutex // guards pending, nextID, closed, readErr
 	pending map[uint64]*muxPending
@@ -128,13 +127,13 @@ func (c *MuxClient) send(ctx context.Context, req Message, id uint64) error {
 	req.Headers = headers
 
 	c.wmu.Lock()
-	data, err := c.enc.EncodeCtx(ctx, req, nil)
+	data, err := c.enc.encodeFrame(ctx, req, nil)
 	if err != nil {
 		c.wmu.Unlock()
 		return err
 	}
-	err = writeFrame(c.conn, data, &c.hdr)
-	putBuf(data) // the frame write flushed; the encode buffer is dead
+	err = writeFrame(c.conn, data)
+	putBuf(data) // the frame write returned; the encode buffer is dead
 	c.wmu.Unlock()
 	return err
 }

@@ -137,6 +137,19 @@ func (p *Pipeline) EncodeSpan(m Message, sp *telemetry.Span) ([]byte, error) {
 // exact tax category. Disabled — the steady state — each stage pays one
 // atomic load.
 func (p *Pipeline) EncodeCtx(ctx context.Context, m Message, sp *telemetry.Span) ([]byte, error) {
+	frame, err := p.encodeFrame(ctx, m, sp)
+	if err != nil {
+		return nil, err
+	}
+	return frame[frameHeader:], nil
+}
+
+// encodeFrame is EncodeCtx for the frame writers: it returns a pooled
+// buffer whose first frameHeader bytes are reserved for the length prefix
+// and whose remainder is the wire encoding. writeFrame fills the prefix,
+// so a frame leaves in one Write with no header copy. The caller owns the
+// buffer and releases it with putBuf once the write has returned.
+func (p *Pipeline) encodeFrame(ctx context.Context, m Message, sp *telemetry.Span) ([]byte, error) {
 	obs := p.mx != nil || sp != nil
 	var t0 time.Time
 
@@ -151,10 +164,11 @@ func (p *Pipeline) EncodeCtx(ctx context.Context, m Message, sp *telemetry.Span)
 		t0 = time.Now()
 	}
 	// Every intermediate below is pooled and owned by this call: each stage
-	// appends into a fresh pooled buffer and releases its input, so one
-	// message in steady state recycles the serialize, compress, and encrypt
-	// staging instead of allocating them (the paper's Table 2 allocation +
-	// memcpy taxes, removed from the harness's own hot path).
+	// appends into a fresh pooled buffer behind the same prefix headroom and
+	// releases its input, so one message in steady state recycles the
+	// serialize, compress, and encrypt staging instead of allocating them
+	// (the paper's Table 2 allocation + memcpy taxes, removed from the
+	// harness's own hot path).
 	var data []byte
 	var err error
 	proflabel.Do(ctx, plSerialize, func(context.Context) {
@@ -162,7 +176,7 @@ func (p *Pipeline) EncodeCtx(ctx context.Context, m Message, sp *telemetry.Span)
 		if size, err = wireSize(m); err != nil {
 			return
 		}
-		data, err = appendMessage(getBuf(size), m, flags)
+		data, err = appendMessage(getBuf(frameHeader + size)[:frameHeader], m, flags)
 	})
 	if err != nil {
 		return nil, err
@@ -171,7 +185,7 @@ func (p *Pipeline) EncodeCtx(ctx context.Context, m Message, sp *telemetry.Span)
 		observeStage(p.mx.stageHist(stageSerialize), sp, "serialize", t0)
 	}
 	p.stats.Serialized++
-	p.stats.BytesIn += uint64(len(data))
+	p.stats.BytesIn += uint64(len(data) - frameHeader)
 
 	if p.compress {
 		if obs {
@@ -179,7 +193,7 @@ func (p *Pipeline) EncodeCtx(ctx context.Context, m Message, sp *telemetry.Span)
 		}
 		proflabel.Do(ctx, plCompress, func(context.Context) {
 			var out []byte
-			out, err = kernels.CompressAppend(getBuf(len(data)+64), data, p.compressLevel)
+			out, err = kernels.CompressAppend(getBuf(len(data) + 64)[:frameHeader], data[frameHeader:], p.compressLevel)
 			if err != nil {
 				return
 			}
@@ -197,7 +211,7 @@ func (p *Pipeline) EncodeCtx(ctx context.Context, m Message, sp *telemetry.Span)
 	}
 	if p.cipher != nil {
 		// The IV must be carried on the wire. IV and ciphertext are written
-		// into one pooled buffer: the IV occupies the first 16 bytes and the
+		// into one pooled buffer: the IV sits right behind the prefix and the
 		// ciphertext is produced directly behind it, so the encrypt path
 		// performs no join copy and no per-message output allocation.
 		if obs {
@@ -205,9 +219,10 @@ func (p *Pipeline) EncodeCtx(ctx context.Context, m Message, sp *telemetry.Span)
 		}
 		proflabel.Do(ctx, plEncrypt, func(context.Context) {
 			iv := p.nextIV()
-			out := getBufN(len(iv) + len(data))
-			copy(out, iv)
-			if err = p.cipher.EncryptTo(out[len(iv):], iv, data); err != nil {
+			body := data[frameHeader:]
+			out := getBufN(frameHeader + len(iv) + len(body))
+			copy(out[frameHeader:], iv)
+			if err = p.cipher.EncryptTo(out[frameHeader+len(iv):], iv, body); err != nil {
 				putBuf(out)
 				return
 			}
@@ -223,7 +238,7 @@ func (p *Pipeline) EncodeCtx(ctx context.Context, m Message, sp *telemetry.Span)
 			observeStage(p.mx.stageHist(stageEncrypt), sp, "encrypt", t0)
 		}
 	}
-	p.stats.BytesOut += uint64(len(data))
+	p.stats.BytesOut += uint64(len(data) - frameHeader)
 	return data, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/proflabel"
@@ -20,26 +21,30 @@ import (
 // maxFrame bounds a frame so a corrupt peer cannot force huge allocations.
 const maxFrame = 80 << 20
 
-// WriteFrame writes one length-prefixed frame.
+// frameHeader is the size of the length prefix. Encode buffers reserve it
+// as headroom (Pipeline.encodeFrame), so prefix and body leave together.
+const frameHeader = 4
+
+// WriteFrame writes one length-prefixed frame in a single Write.
 func WriteFrame(w io.Writer, data []byte) error {
-	var hdr [4]byte
-	return writeFrame(w, data, &hdr)
+	frame := append(getBuf(frameHeader + len(data))[:frameHeader], data...)
+	err := writeFrame(w, frame)
+	putBuf(frame)
+	return err
 }
 
-// writeFrame is WriteFrame with caller-owned header scratch. Passing hdr[:]
-// to an io.Writer forces the array to the heap, so the hot loops hand in a
-// header that lives for the whole connection — one escape per connection
-// instead of one per frame.
-func writeFrame(w io.Writer, data []byte, hdr *[4]byte) error {
-	if len(data) > maxFrame {
-		return fmt.Errorf("rpc: frame %d bytes exceeds %d", len(data), maxFrame)
+// writeFrame fills the length prefix reserved in frame's first
+// frameHeader bytes and writes the whole frame with one Write. With
+// TCP_NODELAY a split header and body would leave as two segments and wake
+// the peer twice; one Write sends them together and costs one syscall.
+func writeFrame(w io.Writer, frame []byte) error {
+	n := len(frame) - frameHeader
+	if n > maxFrame {
+		return fmt.Errorf("rpc: frame %d bytes exceeds %d", n, maxFrame)
 	}
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("rpc: write frame header: %w", err)
-	}
-	if _, err := w.Write(data); err != nil {
-		return fmt.Errorf("rpc: write frame body: %w", err)
+	binary.LittleEndian.PutUint32(frame, uint32(n))
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("rpc: write frame: %w", err)
 	}
 	return nil
 }
@@ -54,7 +59,10 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	return readFrame(r, &hdr)
 }
 
-// readFrame is ReadFrame with caller-owned header scratch; see writeFrame.
+// readFrame is ReadFrame with caller-owned header scratch. Passing hdr[:]
+// to an io.Reader forces the array to the heap, so the read loops hand in
+// a header that lives for the whole connection — one escape per
+// connection instead of one per frame.
 func readFrame(r io.Reader, hdr *[4]byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err // io.EOF passes through for clean shutdown
@@ -285,7 +293,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 		}
 		cw = &connWriter{conn: conn, enc: encPipe}
 	}
-	var hdr [4]byte // frame-header scratch, reused across the connection
+	var hdr [4]byte // read-side frame-header scratch, reused across the connection
 	for {
 		frame, err := readFrame(conn, &hdr)
 		if err != nil {
@@ -312,7 +320,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 		} else {
 			resp, sp = s.handleOne(ctx, req)
 		}
-		out, err := pipeline.EncodeCtx(ctx, resp, sp)
+		out, err := pipeline.encodeFrame(ctx, resp, sp)
 		if req.Method == BatchMethod {
 			// The batch-envelope payload is pooled by handleBatch and was
 			// copied into the encoded frame (or is dead on error).
@@ -327,12 +335,12 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 		if obs {
 			t0 = time.Now()
 		}
-		outLen := len(out)
+		outLen := len(out) - frameHeader
 		var werr error
 		proflabel.Do(ctx, plFrameIO, func(context.Context) {
-			werr = writeFrame(conn, out, &hdr)
+			werr = writeFrame(conn, out)
 		})
-		putBuf(out) // the frame write flushed; the encode buffer is dead
+		putBuf(out) // the frame write returned; the encode buffer is dead
 		if obs {
 			var h *telemetry.Histogram
 			if ins.Metrics != nil {
@@ -433,13 +441,25 @@ func (s *Server) Close() error {
 // want those exchanges to overlap should pool clients, use a MuxClient,
 // or attach a Batcher, which coalesces concurrent callers into batched
 // exchanges.
+//
+// An exchange that fails after its request was written (a timeout, a
+// cancellation, a broken or corrupt connection) leaves the stream out of
+// step: the late response would answer the next call. So such a failure
+// closes the connection, and every later call fails with an error that
+// wraps the first failure. ClientPool redials such a client.
 type Client struct {
 	mu       sync.Mutex // held for a whole exchange: calls never interleave frames
 	conn     net.Conn
 	pipeline *Pipeline
 	ins      *Instrumentation
-	hdr      [4]byte // frame-header scratch, reused across calls
+	hdr      [4]byte     // read-side frame-header scratch, reused across calls
+	broken   error       // sticky: set once an exchange fails mid-stream
+	failed   atomic.Bool // broken is set and conn closed; read without mu
 }
+
+// errClientBroken is returned (wrapped with the original failure) by every
+// call on a Client whose connection was closed after a failed exchange.
+var errClientBroken = errors.New("rpc: client connection broken by an earlier failed call")
 
 // Instrument attaches telemetry to the client: each Call produces a span
 // with child spans per pipeline stage, stage and call-latency histograms,
@@ -482,13 +502,18 @@ func (c *Client) Call(req Message) (Message, error) {
 // CallContext is Call with context deadline and cancellation support: the
 // context's deadline bounds the whole exchange, and cancellation unblocks
 // an in-flight read or write, so a vanished server cannot block the caller
-// forever. The connection's I/O deadline is restored on return, leaving
-// the client reusable after a deadline-free follow-up call. A caller
+// forever. A call that ends this way after its request was sent breaks
+// the client (see Client); one that ends before sending leaves it usable.
+// After a call that succeeds, the connection's I/O deadline is restored,
+// leaving the client reusable by a deadline-free follow-up call. A caller
 // queued behind other callers' exchanges waits for the connection
 // regardless of ctx, then fails without sending if ctx has ended.
 func (c *Client) CallContext(ctx context.Context, req Message) (Message, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.broken != nil { // before arming deadlines on the closed conn
+		return Message{}, c.broken
+	}
 	if err := ctx.Err(); err != nil {
 		return Message{}, fmt.Errorf("rpc: call aborted: %w", err)
 	}
@@ -567,10 +592,15 @@ func (c *Client) call(ctx context.Context, req Message) (Message, error) {
 }
 
 // exchange performs encode → frame-write → net-wait → decode. Pooled
-// buffer ownership: the encode output is released once the frame write
-// flushes, and the response frame once decode has copied the message out.
+// buffer ownership: the encoded frame is released once its write returns,
+// and the response frame once decode has copied the message out. Any
+// failure from the write on breaks the client (see Client); an encode
+// failure sends nothing and leaves it usable.
 func (c *Client) exchange(ctx context.Context, req Message, ins *Instrumentation, sp *telemetry.Span, obs bool) (Message, error) {
-	data, err := c.pipeline.EncodeCtx(ctx, req, sp)
+	if c.broken != nil {
+		return Message{}, c.broken
+	}
+	data, err := c.pipeline.encodeFrame(ctx, req, sp)
 	if err != nil {
 		return Message{}, err
 	}
@@ -579,14 +609,14 @@ func (c *Client) exchange(ctx context.Context, req Message, ins *Instrumentation
 	if obs {
 		t0 = time.Now()
 	}
-	dataLen := len(data)
+	dataLen := len(data) - frameHeader
 	var werr error
 	proflabel.Do(ctx, plFrameIO, func(context.Context) {
-		werr = writeFrame(c.conn, data, &c.hdr)
+		werr = writeFrame(c.conn, data)
 	})
-	putBuf(data) // the frame write flushed; the encode buffer is dead
+	putBuf(data) // the frame write returned; the encode buffer is dead
 	if werr != nil {
-		return Message{}, werr
+		return Message{}, c.breakConn(werr)
 	}
 	if obs {
 		var h *telemetry.Histogram
@@ -600,7 +630,7 @@ func (c *Client) exchange(ctx context.Context, req Message, ins *Instrumentation
 
 	frame, err := readFrame(c.conn, &c.hdr)
 	if err != nil {
-		return Message{}, fmt.Errorf("rpc: read response: %w", err)
+		return Message{}, c.breakConn(fmt.Errorf("rpc: read response: %w", err))
 	}
 	if obs {
 		var h *telemetry.Histogram
@@ -614,7 +644,7 @@ func (c *Client) exchange(ctx context.Context, req Message, ins *Instrumentation
 	resp, err := c.pipeline.DecodeCtx(ctx, frame, sp)
 	putBuf(frame) // decode copied the message out; the frame is dead
 	if err != nil {
-		return Message{}, err
+		return Message{}, c.breakConn(err)
 	}
 	if msg, ok := resp.Headers["error"]; ok {
 		return resp, fmt.Errorf("rpc: remote error: %s", msg)
@@ -622,8 +652,25 @@ func (c *Client) exchange(ctx context.Context, req Message, ins *Instrumentation
 	return resp, nil
 }
 
-// Close closes the underlying connection.
-func (c *Client) Close() error { return c.conn.Close() }
+// breakConn records err as the client's sticky failure and closes the
+// connection, so no later call can read this exchange's response. It
+// returns err for the failing call itself. c.mu must be held.
+func (c *Client) breakConn(err error) error {
+	c.broken = fmt.Errorf("%w: %w", errClientBroken, err)
+	c.failed.Store(true)
+	c.conn.Close() //modelcheck:ignore errdrop — the exchange error is primary; the conn is abandoned
+	return err
+}
+
+// Close closes the underlying connection. It does not wait for an
+// exchange in flight, which fails with a connection error. Closing a
+// client that a failed exchange already broke does nothing.
+func (c *Client) Close() error {
+	if c.failed.Load() {
+		return nil
+	}
+	return c.conn.Close()
+}
 
 // Stats returns the client pipeline's counters.
 func (c *Client) Stats() PipelineStats { return c.pipeline.Stats() }
